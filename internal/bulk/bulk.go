@@ -14,7 +14,10 @@
 // whatever the scatter and loss leave missing is pulled with unicast
 // symbol requests that rotate over the symbol's designated relay, the
 // origin and the remaining members, so one crashed relay never strands a
-// transfer. Under Config.RelayPlan the re-fan follows the hierarchical
+// transfer. Symbols that outrun their manifest (the scatter leaves
+// before the manifest's reliable multicast) wait in a bounded early
+// buffer and are replayed, fan included, once the manifest installs.
+// Under Config.RelayPlan the re-fan follows the hierarchical
 // overlay: a relay fans to its own cluster plus the remote cluster
 // coordinators (FlagBulkFan), and each coordinator re-fans locally,
 // bounding relay depth at two hops.
@@ -26,13 +29,14 @@ package bulk
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/crc64"
 	"sort"
 	"time"
 
 	"scalamedia/internal/fec"
 	"scalamedia/internal/id"
 	"scalamedia/internal/proto"
+	"scalamedia/internal/stats"
 	"scalamedia/internal/wire"
 )
 
@@ -53,6 +57,15 @@ const (
 	DefaultMaxObjects = 8
 	// MaxObjectSize bounds a published object.
 	MaxObjectSize = 1 << 28
+)
+
+// Early-symbol buffer bounds: symbols that arrive before their object's
+// manifest are held up to earlyMaxBytes of payload in total, and an
+// object's held symbols are dropped earlyMaxAge after the first of them
+// arrived if no manifest has claimed them by then.
+const (
+	earlyMaxBytes = 4 << 20
+	earlyMaxAge   = 2 * time.Second
 )
 
 // Errors.
@@ -109,6 +122,37 @@ type Config struct {
 	OnObject func(Object)
 	// OnProgress receives per-generation progress.
 	OnProgress func(Progress)
+	// Metrics, when non-nil, receives the engine's live counters under
+	// the "bulk." prefix. When nil the engine still counts but registers
+	// nothing.
+	Metrics *stats.Registry
+}
+
+// engMetrics is the engine's counter set, resolved once at New.
+type engMetrics struct {
+	symbolsEarly     *stats.Counter // symbols held for a manifest not yet installed
+	earlyDropped     *stats.Counter // held symbols dropped: over the cap, aged out or spoofed
+	requestsSent     *stats.Counter
+	requestsServed   *stats.Counter
+	decodes          *stats.Counter // generations reconstructed and verified
+	objectsCompleted *stats.Counter // received objects fully assembled
+}
+
+func newEngMetrics(reg *stats.Registry) engMetrics {
+	counter := func(name string) *stats.Counter {
+		if reg == nil {
+			return &stats.Counter{}
+		}
+		return reg.Counter("bulk." + name)
+	}
+	return engMetrics{
+		symbolsEarly:     counter("symbols_early"),
+		earlyDropped:     counter("early_dropped"),
+		requestsSent:     counter("requests_sent"),
+		requestsServed:   counter("requests_served"),
+		decodes:          counter("decodes"),
+		objectsCompleted: counter("objects_completed"),
+	}
 }
 
 // generation tracks one generation's symbols at a receiver.
@@ -116,6 +160,7 @@ type generation struct {
 	shards [][]byte // k+r slots; nil = missing
 	have   int
 	done   bool
+	fanned [4]uint64 // bitset over the k+r symbols this node re-fanned
 }
 
 // object is one transfer, publishing or receiving.
@@ -130,6 +175,22 @@ type object struct {
 	round    uint64 // request-target rotation counter
 }
 
+// earlySym is one symbol that arrived before its object's manifest, with
+// everything onSymbol needs to replay it.
+type earlySym struct {
+	from   id.Node
+	flags  uint8
+	sender id.Node
+	aux    uint64
+	body   []byte
+}
+
+// earlyObj holds the early symbols of one object.
+type earlyObj struct {
+	first time.Time // arrival of the first held symbol, for the age-out
+	syms  []earlySym
+}
+
 // Engine is one node's bulk-dissemination state. It implements
 // proto.Handler for the KindBulkSym / KindBulkReq plane; manifests enter
 // through OnManifest (they travel on the caller's reliable channel).
@@ -140,6 +201,11 @@ type Engine struct {
 	near    []id.Node // members with known distance, nearest first
 	objects map[uint64]*object
 	order   []uint64 // insertion order, for deterministic ticks + eviction
+	// early holds symbols that raced ahead of their manifest;
+	// earlyBytes is their total payload, bounded by earlyMaxBytes.
+	early      map[uint64]*earlyObj
+	earlyBytes int
+	m          engMetrics
 }
 
 var _ proto.Handler = (*Engine)(nil)
@@ -164,7 +230,13 @@ func New(env proto.Env, cfg Config) *Engine {
 	if cfg.MaxObjects <= 0 {
 		cfg.MaxObjects = DefaultMaxObjects
 	}
-	return &Engine{env: env, cfg: cfg, objects: make(map[uint64]*object)}
+	return &Engine{
+		env:     env,
+		cfg:     cfg,
+		objects: make(map[uint64]*object),
+		early:   make(map[uint64]*earlyObj),
+		m:       newEngMetrics(cfg.Metrics),
+	}
 }
 
 // SetMembers installs the current group membership, the universe symbols
@@ -179,14 +251,17 @@ func (e *Engine) SetMembers(ms []id.Node) {
 	sort.Slice(e.members, func(i, j int) bool { return e.members[i] < e.members[j] })
 }
 
-// genHash is the per-generation content hash: FNV-1a over the k padded
-// data symbols in index order.
+// genTable is the CRC-64 table behind genHash.
+var genTable = crc64.MakeTable(crc64.ECMA)
+
+// genHash is the per-generation content hash: CRC-64 (ECMA polynomial)
+// chained over the k padded data symbols in index order.
 func genHash(shards [][]byte, k int) uint64 {
-	h := fnv.New64a()
+	var h uint64
 	for i := 0; i < k; i++ {
-		h.Write(shards[i])
+		h = crc64.Update(h, genTable, shards[i])
 	}
-	return h.Sum64()
+	return h
 }
 
 // Publish splits data into coded symbols, retains them for serving, and
@@ -370,7 +445,8 @@ func (e *Engine) fan(man Manifest, gen, idx int, payload []byte, wide bool) {
 
 // OnManifest begins (or serves) a transfer described by a manifest
 // received on the reliable channel. Unknown objects start collecting
-// symbols; already-held objects are ignored.
+// symbols, beginning with any that arrived ahead of the manifest;
+// already-held objects are ignored.
 func (e *Engine) OnManifest(man Manifest) {
 	if err := man.Validate(); err != nil {
 		return
@@ -378,11 +454,14 @@ func (e *Engine) OnManifest(man Manifest) {
 	if _, exists := e.objects[man.Object]; exists {
 		return
 	}
+	early := e.takeEarly(man.Object)
 	if man.Origin == e.env.Self() {
+		e.m.earlyDropped.Add(uint64(len(early)))
 		return
 	}
 	rs, err := fec.NewRS(man.K, man.R)
 	if err != nil {
+		e.m.earlyDropped.Add(uint64(len(early)))
 		return
 	}
 	o := &object{
@@ -393,12 +472,81 @@ func (e *Engine) OnManifest(man Manifest) {
 	for g := range o.gens {
 		o.gens[g].shards = make([][]byte, man.K+man.R)
 	}
-	// Give the scatter one request interval to land before pulling;
-	// symbols that raced ahead of the manifest are simply re-pulled,
-	// and a scatterless (state-transfer) object starts fetching after
-	// the same grace.
+	// Give the scatter one request interval to land before pulling; a
+	// scatterless (state-transfer) object starts fetching after the
+	// same grace.
 	o.nextReq = e.env.Now().Add(e.cfg.RequestEvery)
 	e.insert(man.Object, o)
+	e.replayEarly(man, early)
+}
+
+// holdEarly buffers a symbol for an object with no manifest yet. The
+// relay fan it may ask for waits too: nothing is re-sent until a
+// manifest the session has origin-checked claims the symbol.
+func (e *Engine) holdEarly(from id.Node, msg *wire.Message) {
+	if e.earlyBytes+len(msg.Body) > earlyMaxBytes {
+		e.m.earlyDropped.Inc()
+		return
+	}
+	eo := e.early[msg.Seq]
+	if eo == nil {
+		eo = &earlyObj{first: e.env.Now()}
+		e.early[msg.Seq] = eo
+	}
+	eo.syms = append(eo.syms, earlySym{
+		from:   from,
+		flags:  msg.Flags,
+		sender: msg.Sender,
+		aux:    msg.Aux,
+		body:   append([]byte(nil), msg.Body...),
+	})
+	e.earlyBytes += len(msg.Body)
+	e.m.symbolsEarly.Inc()
+}
+
+// takeEarly removes and returns an object's held symbols.
+func (e *Engine) takeEarly(objID uint64) []earlySym {
+	eo := e.early[objID]
+	if eo == nil {
+		return nil
+	}
+	delete(e.early, objID)
+	for _, es := range eo.syms {
+		e.earlyBytes -= len(es.body)
+	}
+	return eo.syms
+}
+
+// replayEarly feeds held symbols to the freshly installed object in
+// arrival order, each with the neighbour it came from so a relay's wide
+// fan stays wide. Symbols naming another origin than the manifest are
+// dropped unreplayed: they are neither stored nor fanned.
+func (e *Engine) replayEarly(man Manifest, syms []earlySym) {
+	for _, es := range syms {
+		if es.sender != man.Origin {
+			e.m.earlyDropped.Inc()
+			continue
+		}
+		e.onSymbol(es.from, &wire.Message{
+			Kind:   wire.KindBulkSym,
+			Flags:  es.flags,
+			Group:  e.cfg.Group,
+			Sender: es.sender,
+			Seq:    man.Object,
+			Aux:    es.aux,
+			Body:   es.body,
+		})
+	}
+}
+
+// ageEarly drops the held symbols of objects whose manifest has not come
+// within earlyMaxAge of their first symbol.
+func (e *Engine) ageEarly(now time.Time) {
+	for objID, eo := range e.early {
+		if now.Sub(eo.first) >= earlyMaxAge {
+			e.m.earlyDropped.Add(uint64(len(e.takeEarly(objID))))
+		}
+	}
 }
 
 // Object returns a completed object's data.
@@ -450,29 +598,38 @@ func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
 // node is the symbol's designated distributor.
 func (e *Engine) onSymbol(from id.Node, msg *wire.Message) {
 	o, ok := e.objects[msg.Seq]
-	if !ok || o.complete {
-		// No manifest yet (the scatter raced ahead of the reliable
-		// channel) or already done: the repair path will pull anything
-		// missed, so racing symbols are dropped rather than buffered
-		// unbounded.
+	if !ok {
+		// No manifest yet: the scatter raced ahead of the reliable
+		// channel. Hold the symbol until the manifest installs.
+		e.holdEarly(from, msg)
 		return
 	}
 	gen, idx := int(msg.Aux>>32), int(msg.Aux&0xffffffff)
-	if gen >= len(o.gens) || idx >= o.man.K+o.man.R || len(msg.Body) != o.man.SymbolSize {
+	if msg.Sender != o.man.Origin || gen >= len(o.gens) ||
+		idx >= o.man.K+o.man.R || len(msg.Body) != o.man.SymbolSize {
 		return
 	}
 	g := &o.gens[gen]
-	if g.done || g.shards[idx] != nil {
+	// Re-fan first, once per symbol, even when this node's own copy of
+	// the generation is already done: a flagged symbol makes this node
+	// the distributor — group-wide when it came straight from the
+	// origin, own-cluster only when a relay forwarded it for local
+	// re-fan — and the other receivers still need it. A done
+	// generation's data symbol is fanned from the hash-verified copy,
+	// not from the unchecked payload.
+	if bit := uint64(1) << (idx % 64); msg.Flags&wire.FlagBulkFan != 0 && g.fanned[idx/64]&bit == 0 {
+		g.fanned[idx/64] |= bit
+		body := msg.Body
+		if g.done && idx < o.man.K {
+			body = g.shards[idx]
+		}
+		e.fan(o.man, gen, idx, body, from == o.man.Origin)
+	}
+	if o.complete || g.done || g.shards[idx] != nil {
 		return
 	}
 	g.shards[idx] = append([]byte(nil), msg.Body...)
 	g.have++
-	// Re-fan before reconstructing: a flagged symbol makes this node the
-	// distributor — group-wide when it came straight from the origin,
-	// own-cluster only when a relay forwarded it for local re-fan.
-	if msg.Flags&wire.FlagBulkFan != 0 {
-		e.fan(o.man, gen, idx, g.shards[idx], from == o.man.Origin)
-	}
 	if g.have >= o.man.K {
 		e.reconstruct(o, gen)
 	}
@@ -502,6 +659,7 @@ func (e *Engine) reconstruct(o *object, gen int) {
 	g.have = o.man.K
 	g.done = true
 	o.doneGens++
+	e.m.decodes.Inc()
 	if e.cfg.OnProgress != nil {
 		e.cfg.OnProgress(Progress{ID: o.man.Object, Origin: o.man.Origin, Done: o.doneGens, Total: len(o.gens)})
 	}
@@ -520,6 +678,7 @@ func (e *Engine) assemble(o *object) {
 	}
 	o.data = data[:o.man.Size]
 	o.complete = true
+	e.m.objectsCompleted.Inc()
 	if e.cfg.OnObject != nil {
 		e.cfg.OnObject(Object{ID: o.man.Object, Origin: o.man.Origin, Data: o.data})
 	}
@@ -537,14 +696,16 @@ func (e *Engine) onRequest(from id.Node, msg *wire.Message) {
 	}
 	if shard := o.gens[gen].shards[idx]; shard != nil {
 		e.sendSym(from, o.man, gen, idx, shard, 0)
+		e.m.requestsServed.Inc()
 	}
 }
 
 // OnTick runs the repair rounds: each incomplete transfer asks for the
 // data symbols it is still missing, rotating targets over the symbol's
 // designated relay, the origin, and the rest of the group so a crashed
-// relay only costs one round.
+// relay only costs one round. It also ages out unclaimed early symbols.
 func (e *Engine) OnTick(now time.Time) {
+	e.ageEarly(now)
 	refreshed := false
 	for _, objID := range e.order {
 		o := e.objects[objID]
@@ -617,6 +778,7 @@ func (e *Engine) requestMissing(o *object) {
 				Seq:   o.man.Object,
 				Aux:   uint64(g)<<32 | uint64(i),
 			})
+			e.m.requestsSent.Inc()
 			budget--
 		}
 		if budget == 0 {

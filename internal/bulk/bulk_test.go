@@ -309,3 +309,274 @@ func TestNearestFirstPullTargets(t *testing.T) {
 		t.Fatalf("fallback rotation visited only %v", picked)
 	}
 }
+
+// recEnv is a proto.Env that records the symbols an engine sends, with
+// a settable clock, for driving one engine by hand.
+type recEnv struct {
+	self id.Node
+	now  time.Time
+	sent []wire.Message // Kind, Flags, Aux and a copy of Body
+}
+
+func (r *recEnv) Self() id.Node  { return r.self }
+func (r *recEnv) Now() time.Time { return r.now }
+func (r *recEnv) Send(_ id.Node, msg *wire.Message) {
+	r.sent = append(r.sent, wire.Message{
+		Kind: msg.Kind, Flags: msg.Flags, Aux: msg.Aux, Body: append([]byte(nil), msg.Body...),
+	})
+}
+
+// relayRig is one relay engine (node 2) in an 8-member group plus the
+// coded symbols of an object published by node 1, so tests can hand
+// the relay any symbol in any order.
+type relayRig struct {
+	env    *recEnv
+	relay  *Engine
+	man    Manifest
+	shards [][][]byte // [generation][symbol]
+}
+
+func newRelayRig(t *testing.T) *relayRig {
+	t.Helper()
+	cfg := Config{Group: 1, SymbolSize: 64, DataShards: 4, RepairShards: 2}
+	members := []id.Node{1, 2, 3, 4, 5, 6, 7, 8}
+	origin := New(&recEnv{self: 1}, cfg)
+	origin.SetMembers(members)
+	man, err := origin.Publish(7, testObject(2*4*64, 46), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &relayRig{env: &recEnv{self: 2}, man: man}
+	for _, g := range origin.objects[7].gens {
+		r.shards = append(r.shards, g.shards)
+	}
+	r.relay = New(r.env, cfg)
+	r.relay.SetMembers(members)
+	return r
+}
+
+// sym builds symbol (gen, idx) of the rig's object as sent by from.
+func (r *relayRig) sym(gen, idx int, flags uint8, sender id.Node) *wire.Message {
+	return &wire.Message{
+		Kind: wire.KindBulkSym, Flags: flags, Group: 1, Sender: sender,
+		Seq: r.man.Object, Aux: uint64(gen)<<32 | uint64(idx), Body: r.shards[gen][idx],
+	}
+}
+
+// fans counts the relay's sends of symbol (gen, idx).
+func (r *relayRig) fans(gen, idx int) int {
+	n := 0
+	for _, m := range r.env.sent {
+		if m.Kind == wire.KindBulkSym && m.Aux == uint64(gen)<<32|uint64(idx) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRelayFansAfterDecode checks a relay still re-fans its flagged
+// symbol when its own copy of the generation decoded first: the other
+// six receivers (everyone but the origin and the relay) still need it.
+// A repeat of the same flagged symbol is not fanned again.
+func TestRelayFansAfterDecode(t *testing.T) {
+	r := newRelayRig(t)
+	r.relay.OnManifest(r.man)
+	for i := 0; i < r.man.K; i++ {
+		r.relay.OnMessage(3, r.sym(0, i, 0, 1))
+	}
+	if done, _, _ := r.relay.Progress(7); done != 1 {
+		t.Fatalf("generation 0 not decoded: %d done", done)
+	}
+	r.relay.OnMessage(1, r.sym(0, 4, wire.FlagBulkFan, 1))
+	if got := r.fans(0, 4); got != 6 {
+		t.Fatalf("relay sent %d fan datagrams after decoding, want 6", got)
+	}
+	r.relay.OnMessage(1, r.sym(0, 4, wire.FlagBulkFan, 1))
+	if got := r.fans(0, 4); got != 6 {
+		t.Fatalf("repeated flagged symbol fanned again: %d datagrams", got)
+	}
+
+	// A forged data symbol naming the origin, arriving after decode, is
+	// fanned from the verified decoded copy, never from its own payload.
+	forged := r.sym(0, 1, wire.FlagBulkFan, 1)
+	forged.Body = make([]byte, len(forged.Body))
+	r.relay.OnMessage(1, forged)
+	if got := r.fans(0, 1); got != 6 {
+		t.Fatalf("relay sent %d fan datagrams for data symbol 1, want 6", got)
+	}
+	for _, m := range r.env.sent {
+		if m.Aux == 1 && !bytes.Equal(m.Body, r.shards[0][1]) {
+			t.Fatal("relay fanned the forged payload instead of its decoded symbol")
+		}
+	}
+}
+
+// TestEarlySymbolsReplayed checks a flagged symbol that beats the
+// manifest is held without fanning, then replayed on OnManifest with
+// its sender neighbour intact, so the relay's fan is still group-wide.
+func TestEarlySymbolsReplayed(t *testing.T) {
+	r := newRelayRig(t)
+	r.relay.OnMessage(1, r.sym(1, 2, wire.FlagBulkFan, 1))
+	if len(r.env.sent) != 0 {
+		t.Fatalf("relay fanned %d datagrams before the manifest", len(r.env.sent))
+	}
+	if got := r.relay.m.symbolsEarly.Value(); got != 1 {
+		t.Fatalf("symbols_early = %d, want 1", got)
+	}
+	r.relay.OnManifest(r.man)
+	if got := r.fans(1, 2); got != 6 {
+		t.Fatalf("replayed symbol fanned to %d members, want the 6-member wide fan", got)
+	}
+	if r.relay.objects[7].gens[1].shards[2] == nil {
+		t.Fatal("replayed symbol not stored")
+	}
+	if len(r.relay.early) != 0 || r.relay.earlyBytes != 0 {
+		t.Fatalf("early buffer not emptied: %d objects, %d bytes", len(r.relay.early), r.relay.earlyBytes)
+	}
+}
+
+// TestEarlySpoofedSenderDropped checks an early symbol claiming another
+// origin than the manifest's is neither stored nor fanned on replay.
+func TestEarlySpoofedSenderDropped(t *testing.T) {
+	r := newRelayRig(t)
+	r.relay.OnMessage(1, r.sym(0, 1, wire.FlagBulkFan, 5))
+	r.relay.OnManifest(r.man)
+	if len(r.env.sent) != 0 {
+		t.Fatalf("spoofed symbol fanned: %d datagrams", len(r.env.sent))
+	}
+	if r.relay.objects[7].gens[0].shards[1] != nil {
+		t.Fatal("spoofed symbol stored")
+	}
+	if got := r.relay.m.earlyDropped.Value(); got != 1 {
+		t.Fatalf("early_dropped = %d, want 1", got)
+	}
+}
+
+// TestEarlyBufferBounded checks the early buffer keeps to its byte cap
+// and drops an object's held symbols once they outlive earlyMaxAge.
+func TestEarlyBufferBounded(t *testing.T) {
+	env := &recEnv{self: 2, now: time.Unix(100, 0)}
+	e := New(env, Config{Group: 1})
+	body := make([]byte, 1024)
+	const extra = 10
+	for i := 0; i < earlyMaxBytes/len(body)+extra; i++ {
+		e.OnMessage(1, &wire.Message{
+			Kind: wire.KindBulkSym, Flags: wire.FlagBulkFan, Group: 1, Sender: 1,
+			Seq: uint64(1 + i%3), Aux: uint64(i), Body: body,
+		})
+	}
+	if e.earlyBytes != earlyMaxBytes {
+		t.Fatalf("early buffer holds %d bytes, cap %d", e.earlyBytes, earlyMaxBytes)
+	}
+	if got := e.m.earlyDropped.Value(); got != extra {
+		t.Fatalf("early_dropped = %d, want %d over the cap", got, extra)
+	}
+	env.now = env.now.Add(earlyMaxAge - time.Millisecond)
+	e.OnTick(env.now)
+	if len(e.early) != 3 {
+		t.Fatalf("held objects aged out early: %d left", len(e.early))
+	}
+	env.now = env.now.Add(time.Millisecond)
+	e.OnTick(env.now)
+	if len(e.early) != 0 || e.earlyBytes != 0 {
+		t.Fatalf("aged-out symbols kept: %d objects, %d bytes", len(e.early), e.earlyBytes)
+	}
+	if got, want := e.m.earlyDropped.Value(), uint64(earlyMaxBytes/len(body)+extra); got != want {
+		t.Fatalf("early_dropped = %d after age-out, want %d", got, want)
+	}
+	if len(env.sent) != 0 {
+		t.Fatalf("early symbols caused %d sends", len(env.sent))
+	}
+}
+
+// TestCorruptGenerationRepulled feeds a receiver one corrupted data
+// symbol carrying the origin's name before the real ones arrive. The
+// reconstruction fails its generation hash, is discarded, and the
+// receiver pulls the generation again until it decodes the real bytes.
+func TestCorruptGenerationRepulled(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2}
+	f := newFleet(t, 4, 9, netsim.LANProfile(time.Millisecond, 0, 0), cfg)
+	data := testObject(10_000, 47)
+	f.publish(t, 1, 9, data, false)
+	f.sim.At(20*time.Millisecond, func() {
+		bad := make([]byte, cfg.SymbolSize)
+		copy(bad, data)
+		bad[0] ^= 0xff
+		f.engines[2].OnMessage(1, &wire.Message{
+			Kind: wire.KindBulkSym, Group: 1, Sender: 1, Seq: 9, Aux: 0, Body: bad,
+		})
+	})
+	f.sim.Run(5 * time.Second)
+	// Exact bytes at node 2 mean the corrupted decode was thrown away
+	// (kept, it would differ) and the generation pulled again (dropped
+	// without a re-pull, node 2 would stay incomplete).
+	f.assertAllComplete(t, 9, data, nil)
+}
+
+// TestEarlyOverflowFallsBackToPull measures an object too large for the
+// early buffer. Before the manifest lands each of the n−1 relays holds
+// its share of the scatter, 1.25·F/(n−1) bytes at the default 16+4
+// coding, so at n=3 the share passes earlyMaxBytes above about 6.7 MiB.
+// Under the bound the object completes from the scatter alone with no
+// request; over it the overflow is dropped, never re-fanned, and pulled
+// in repair rounds instead: slower, but every member still completes.
+func TestEarlyOverflowFallsBackToPull(t *testing.T) {
+	const n, manifestDelay = 3, 20 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		size     int
+		overflow bool
+	}{
+		{"under-cap", 5 << 20, false},
+		{"over-cap", 8 << 20, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, n, 48, netsim.LANProfile(time.Millisecond, 0, 0), Config{Group: 1})
+			data := testObject(tc.size, 48)
+			var man Manifest
+			f.sim.At(10*time.Millisecond, func() {
+				var err error
+				if man, err = f.engines[1].Publish(5, data, true); err != nil {
+					t.Errorf("publish: %v", err)
+				}
+			})
+			// The manifest trails the scatter, as on the live session path.
+			f.sim.At(10*time.Millisecond+manifestDelay, func() {
+				for _, node := range f.nodes[1:] {
+					f.engines[node].OnManifest(man)
+				}
+			})
+			firstPull := 10*time.Millisecond + manifestDelay + DefaultRequestEvery
+			f.sim.Run(firstPull - time.Millisecond)
+			var dropped, requests uint64
+			scatterDone := true
+			for _, node := range f.nodes[1:] {
+				dropped += f.engines[node].m.earlyDropped.Value()
+				if _, ok := f.engines[node].Object(5); !ok {
+					scatterDone = false
+				}
+			}
+			if scatterDone == tc.overflow {
+				t.Fatalf("complete from the scatter alone = %t, want %t", scatterDone, !tc.overflow)
+			}
+			if (dropped > 0) != tc.overflow {
+				t.Fatalf("early_dropped = %d, overflow expected %t", dropped, tc.overflow)
+			}
+			// Step one repair round at a time to time the completion.
+			doneAt := firstPull - time.Millisecond
+			for len(f.objects) < n-1 && doneAt < 10*time.Second {
+				doneAt += DefaultRequestEvery
+				f.sim.Run(doneAt)
+			}
+			f.assertAllComplete(t, 5, data, nil)
+			for _, node := range f.nodes[1:] {
+				requests += f.engines[node].m.requestsSent.Value()
+			}
+			if (requests > 0) != tc.overflow {
+				t.Fatalf("requests_sent = %d, overflow expected %t", requests, tc.overflow)
+			}
+			t.Logf("F=%d MiB: early_dropped %d, requests_sent %d, complete by %v after publish",
+				tc.size>>20, dropped, requests, doneAt-10*time.Millisecond)
+		})
+	}
+}

@@ -28,8 +28,10 @@ type Manifest struct {
 	SymbolSize int
 	// K and R are the data and repair symbol counts per generation.
 	K, R int
-	// GenHashes holds one FNV-1a hash per generation, taken over the
-	// generation's k padded data symbols.
+	// GenHashes holds one 64-bit hash per generation: CRC-64 with the
+	// ECMA polynomial, chained over the generation's k padded data
+	// symbols in index order. It is an integrity check against corrupt
+	// or mismatched reconstructions, not a cryptographic digest.
 	GenHashes []uint64
 }
 

@@ -139,7 +139,7 @@ type Config struct {
 	OnObject         func(bulk.Object)
 	OnObjectProgress func(bulk.Progress)
 
-	// Metrics, when non-nil, receives live counters from both engines.
+	// Metrics, when non-nil, receives live counters from the engines.
 	Metrics *stats.Registry
 	// MetricsPrefix namespaces the multicast engine's metrics; empty
 	// takes the rmcast default ("rmcast.").
@@ -271,6 +271,7 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 		RelayPlan:    relayPlan,
 		OnObject:     cfg.OnObject,
 		OnProgress:   cfg.OnObjectProgress,
+		Metrics:      cfg.Metrics,
 	})
 	s.member = member.New(env, member.Config{
 		Group:            cfg.Group,

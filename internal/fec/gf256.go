@@ -2,8 +2,11 @@
 // classic RS-255 field GF(2^8) with the primitive polynomial
 // x^8+x^4+x^3+x^2+1 (0x11d), the same one used by CD-ROM, QR and RAID-6
 // codes; addition is XOR and multiplication goes through log/exp tables
-// built once at init.
+// built once at init. The bulk slice kernels use a full 64 KiB product
+// table instead, so their inner loop is a branch-free lookup per byte.
 package fec
+
+import "encoding/binary"
 
 // gfPoly is the primitive reduction polynomial (0x11d without the x^8 bit
 // once the overflow shift is applied).
@@ -12,6 +15,9 @@ const gfPoly = 0x1d
 var (
 	gfExp [512]byte // doubled so gfMul can skip a modular reduction
 	gfLog [256]byte
+	// gfMulTable[c][s] = c·s: one 256-byte row per coefficient, so a
+	// slice kernel indexes a single row with no zero-operand branch.
+	gfMulTable [256][256]byte
 )
 
 func init() {
@@ -27,6 +33,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for c := 1; c < 256; c++ {
+		for s := 1; s < 256; s++ {
+			gfMulTable[c][s] = gfMul(byte(c), byte(s))
+		}
 	}
 }
 
@@ -45,37 +56,39 @@ func gfInv(a byte) byte {
 
 // gfMulSlice sets dst[i] = c * src[i] for each i.
 func gfMulSlice(dst, src []byte, c byte) {
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	logC := int(gfLog[c])
+	mt := &gfMulTable[c]
 	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = gfExp[logC+int(gfLog[s])]
-		}
+		dst[i] = mt[s]
 	}
 }
 
 // gfMulAddSlice sets dst[i] ^= c * src[i] for each i — the inner loop of
-// both encode and decode.
+// both encode and decode. It works a 64-bit word at a time: eight table
+// lookups are packed into one word and XORed into dst with a single
+// load and store, then a byte loop finishes the tail.
 func gfMulAddSlice(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
-	logC := int(gfLog[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[logC+int(gfLog[s])]
-		}
+	mt := &gfMulTable[c]
+	n := len(src)
+	dst = dst[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		s := binary.LittleEndian.Uint64(src[i : i+8])
+		p := uint64(mt[byte(s)]) |
+			uint64(mt[byte(s>>8)])<<8 |
+			uint64(mt[byte(s>>16)])<<16 |
+			uint64(mt[byte(s>>24)])<<24 |
+			uint64(mt[byte(s>>32)])<<32 |
+			uint64(mt[byte(s>>40)])<<40 |
+			uint64(mt[byte(s>>48)])<<48 |
+			uint64(mt[byte(s>>56)])<<56
+		d := dst[i : i+8]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^p)
+	}
+	for ; i < n; i++ {
+		dst[i] ^= mt[src[i]]
 	}
 }
 

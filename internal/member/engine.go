@@ -235,10 +235,10 @@ type Engine struct {
 	// inbound traffic: a stalled node keeps heartbeating and gossiping a
 	// stale ack vector, so liveness evidence is exactly what slowness
 	// looks like on the wire. Only catching up (SetSlow false) clears it.
-	slowSince map[id.Node]time.Time
-	slowEvict map[id.Node]bool
-	proposal     *proposalState
-	highestSent  id.View // highest view number this node ever proposed
+	slowSince   map[id.Node]time.Time
+	slowEvict   map[id.Node]bool
+	proposal    *proposalState
+	highestSent id.View // highest view number this node ever proposed
 
 	// committedLog retains recent installed views so a coordinator can
 	// replay a missed commit to a straggler, stepping it through the

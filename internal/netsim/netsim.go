@@ -179,10 +179,10 @@ func New(cfg Config) *Sim {
 	}
 	start := time.Unix(0, 0).UTC()
 	s := &Sim{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		start:     start,
-		now:       start,
+		cfg:             cfg,
+		rng:             rand.New(rand.NewSource(cfg.Seed)),
+		start:           start,
+		now:             start,
 		nodes:           make(map[id.Node]*simNode),
 		partition:       make(map[id.Node]int),
 		busyUntil:       make(map[linkPair]int64),

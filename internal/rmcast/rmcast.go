@@ -435,10 +435,10 @@ type Engine struct {
 	mergeNext uint64 // lowest merge-stream index not covered by mergeLog
 	mergeLog  []wire.MergeEntry
 	mergePend map[uint64]wire.MergeEntry // out-of-order directives by From
-	mergeIdx  int    // delivery cursor: index into mergeLog
-	mergeOff  uint32 // delivery cursor: offset into mergeLog[mergeIdx]
-	mergeSeq  uint64 // coordinator: next merge-stream index to cover
-	pendMerge []wire.MergeEntry // coordinator: directives awaiting broadcast
+	mergeIdx  int                        // delivery cursor: index into mergeLog
+	mergeOff  uint32                     // delivery cursor: offset into mergeLog[mergeIdx]
+	mergeSeq  uint64                     // coordinator: next merge-stream index to cover
+	pendMerge []wire.MergeEntry          // coordinator: directives awaiting broadcast
 	// Coordinator: foreign sequencers' units relayed for rebroadcast.
 	// Non-coordinator sequencers unicast their flushed ranges here
 	// instead of broadcasting, so the whole group sees one ordering

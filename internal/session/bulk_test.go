@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"scalamedia/internal/bulk"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
 	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
+	"scalamedia/internal/stats"
 	"scalamedia/internal/wire"
 )
 
@@ -55,6 +57,67 @@ func TestSessionBulkPublish(t *testing.T) {
 		if last.Done != last.Total || last.Total != 3 { // 40KB / (16·1024) → 3 generations
 			t.Fatalf("n%d final progress = %d/%d", n, last.Done, last.Total)
 		}
+	}
+}
+
+// TestSessionBulkScatterBeatsManifest pins the live shape of a publish:
+// the scatter leaves before the manifest's reliable multicast, so every
+// relay sees its symbols ahead of the manifest. Those symbols must be
+// kept and re-fanned once the manifest lands, so on a lossless network
+// every member completes from the scatter alone — no symbol request at
+// all, and well inside the first repair round.
+func TestSessionBulkScatterBeatsManifest(t *testing.T) {
+	const n = 8
+	s := netsim.New(netsim.Config{Seed: 85, Profile: netsim.LANProfile(time.Millisecond, 500*time.Microsecond, 0)})
+	nodes := make(map[id.Node]*sessNode)
+	regs := make(map[id.Node]*stats.Registry)
+	for i := id.Node(1); i <= n; i++ {
+		contact := id.Node(1)
+		if i == 1 {
+			contact = id.None
+		}
+		sn, reg := &sessNode{}, stats.NewRegistry()
+		nodes[i], regs[i] = sn, reg
+		s.AddNode(i, func(env proto.Env) proto.Handler {
+			sn.eng = New(env, Config{
+				Group:          1,
+				Contact:        contact,
+				HeartbeatEvery: 40 * time.Millisecond,
+				SuspectAfter:   200 * time.Millisecond,
+				FlushTimeout:   300 * time.Millisecond,
+				Metrics:        reg,
+				OnEvent:        func(ev Event) { sn.events = append(sn.events, ev) },
+			})
+			return sn.eng
+		})
+	}
+	data := make([]byte, 100_000)
+	rand.New(rand.NewSource(85)).Read(data)
+	const publishAt = 3 * time.Second
+	s.At(publishAt, func() {
+		if nodes[1].eng.View().Size() != n {
+			t.Errorf("view before publish = %+v", nodes[1].eng.View())
+		}
+		if err := nodes[1].eng.Publish(42, data); err != nil {
+			t.Errorf("Publish: %v", err)
+		}
+	})
+	s.Run(publishAt + bulk.DefaultRequestEvery - time.Millisecond)
+
+	early := uint64(0)
+	for i, sn := range nodes {
+		got, ok := sn.eng.Fetch(42)
+		if !ok || !bytes.Equal(got, data) {
+			t.Fatalf("n%d Fetch(42) within one request interval: ok=%t len=%d", i, ok, len(got))
+		}
+		early += regs[i].Snapshot().Counters["bulk.symbols_early"]
+	}
+	if early == 0 {
+		t.Fatal("no symbol arrived ahead of the manifest: the race this test pins never happened")
+	}
+	s.Run(publishAt + time.Second)
+	if reqs := s.Stats().SentByKind[wire.KindBulkReq]; reqs != 0 {
+		t.Fatalf("%d symbol requests on a lossless publish, want 0", reqs)
 	}
 }
 

@@ -128,6 +128,85 @@ func TestOverloadMetricsSurface(t *testing.T) {
 	}
 }
 
+// TestBulkMetricsSurface checks the bulk engine's counters reach
+// Node.Snapshot. Three members: node 1 publishes, nodes 2 and 3 relay
+// alternate symbols, and the link 2→3 drops everything, so node 3 must
+// pull what node 2's fan would have brought it. The scatter leaves ahead
+// of the manifest, so the relays also hold early symbols.
+func TestBulkMetricsSurface(t *testing.T) {
+	fab := transport.NewFabric(transport.WithSeed(9))
+	t.Cleanup(fab.Close)
+	nodes := make([]*Node, 3)
+	logs := make([]*eventLog, 3)
+	for i := range nodes {
+		self := NodeID(i + 1)
+		ep, err := fab.Attach(self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Self: self, Endpoint: ep, Group: 1,
+			Tick:           5 * time.Millisecond,
+			HeartbeatEvery: 50 * time.Millisecond,
+			// Long enough that the cut 2→3 link cannot evict node 2
+			// before the pull finishes.
+			SuspectAfter: 10 * time.Second,
+		}
+		if i > 0 {
+			cfg.Contact = 1
+		}
+		logs[i] = &eventLog{}
+		cfg.OnEvent = logs[i].add
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	waitFor(t, "view of size 3", func() bool {
+		for _, n := range nodes {
+			if n.View().Size() != 3 {
+				return false
+			}
+		}
+		return true
+	})
+	fab.SetLink(2, 3, transport.LinkConfig{Loss: 1})
+	data := make([]byte, 64<<10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := nodes[0].Publish(5, data); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "object at nodes 2 and 3", func() bool {
+		return logs[1].count(ObjectReceived) == 1 && logs[2].count(ObjectReceived) == 1
+	})
+
+	origin, relay, puller := nodes[0].Snapshot(), nodes[1].Snapshot(), nodes[2].Snapshot()
+	for _, c := range []struct {
+		snap MetricsSnapshot
+		name string
+	}{
+		{relay, "bulk.symbols_early"},
+		{puller, "bulk.symbols_early"},
+		{puller, "bulk.requests_sent"},
+		{origin, "bulk.requests_served"},
+		{relay, "bulk.decodes"},
+		{puller, "bulk.decodes"},
+		{relay, "bulk.objects_completed"},
+		{puller, "bulk.objects_completed"},
+	} {
+		if c.snap.Counters[c.name] == 0 {
+			t.Errorf("counter %q is zero or missing; counters: %v", c.name, c.snap.Counters)
+		}
+	}
+	if _, ok := origin.Counters["bulk.early_dropped"]; !ok {
+		t.Error("counter bulk.early_dropped not registered")
+	}
+}
+
 // TestMetricsEndpoint is the HTTP smoke test scripts/check.sh runs: boot
 // a node with MetricsAddr, GET /metrics, and check the JSON decodes into
 // a snapshot carrying live counters. /timeline and /debug/vars must also

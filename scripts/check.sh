@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the repository's tier-1 gate. Every change must pass this
-# before it lands: vet, build, the short test suite under the race
+# before it lands: gofmt, vet, build, the short test suite under the race
 # detector, and the short seeded chaos sweep. (-short skips the slow
 # full-matrix sweeps and the benchmark gate; run `go test ./...` and
 # scripts/bench_gate.sh for the long versions.) Run from the repo root:
@@ -12,6 +12,14 @@
 # TestChaosSweep -chaos.seed=17`).
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
