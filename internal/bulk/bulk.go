@@ -10,13 +10,16 @@
 // — the raptorcast shape. Only the manifest (object ID, size, geometry,
 // per-generation hashes) rides the ordered reliable channel.
 //
-// Receivers reconstruct each generation from ANY k of its k+r symbols;
-// whatever the scatter and loss leave missing is pulled with unicast
-// symbol requests that rotate over the symbol's designated relay, the
-// origin and the remaining members, so one crashed relay never strands a
-// transfer. Symbols that outrun their manifest (the scatter leaves
-// before the manifest's reliable multicast) wait in a bounded early
-// buffer and are replayed, fan included, once the manifest installs.
+// A receiver completes a generation as soon as its k data symbols are in
+// — the code is systematic, so that takes no decoding — and rebuilds it
+// from ANY k of its k+r symbols only once it stalls: k or more held, data
+// still missing, and no new symbol since the previous tick. Whatever the
+// scatter and loss leave short of k symbols is pulled with unicast symbol
+// requests that rotate over the symbol's designated relay, the origin and
+// the remaining members, so one crashed relay never strands a transfer.
+// Symbols that outrun their manifest (the scatter leaves before the
+// manifest's reliable multicast) wait in a bounded early buffer and are
+// replayed, fan included, once the manifest installs.
 // Under Config.RelayPlan the re-fan follows the hierarchical
 // overlay: a relay fans to its own cluster plus the remote cluster
 // coordinators (FlagBulkFan), and each coordinator re-fans locally,
@@ -134,7 +137,8 @@ type engMetrics struct {
 	earlyDropped     *stats.Counter // held symbols dropped: over the cap, aged out or spoofed
 	requestsSent     *stats.Counter
 	requestsServed   *stats.Counter
-	decodes          *stats.Counter // generations reconstructed and verified
+	decodes          *stats.Counter // generations completed and verified
+	parityDecodes    *stats.Counter // of those, generations rebuilt from repair symbols
 	objectsCompleted *stats.Counter // received objects fully assembled
 }
 
@@ -151,6 +155,7 @@ func newEngMetrics(reg *stats.Registry) engMetrics {
 		requestsSent:     counter("requests_sent"),
 		requestsServed:   counter("requests_served"),
 		decodes:          counter("decodes"),
+		parityDecodes:    counter("parity_decodes"),
 		objectsCompleted: counter("objects_completed"),
 	}
 }
@@ -158,7 +163,9 @@ func newEngMetrics(reg *stats.Registry) engMetrics {
 // generation tracks one generation's symbols at a receiver.
 type generation struct {
 	shards [][]byte // k+r slots; nil = missing
-	have   int
+	have   int      // symbols held
+	data   int      // data symbols held (indices below k)
+	fresh  bool     // a symbol arrived since decodeStalled last checked
 	done   bool
 	fanned [4]uint64 // bitset over the k+r symbols this node re-fanned
 }
@@ -630,25 +637,48 @@ func (e *Engine) onSymbol(from id.Node, msg *wire.Message) {
 	}
 	g.shards[idx] = append([]byte(nil), msg.Body...)
 	g.have++
-	if g.have >= o.man.K {
-		e.reconstruct(o, gen)
+	g.fresh = true
+	if idx < o.man.K {
+		g.data++
+		if g.data == o.man.K {
+			e.complete(o, gen, false)
+		}
 	}
 }
 
-// reconstruct decodes one generation from any K held symbols, verifies
-// it against the manifest hash, and completes the object when it was the
-// last generation outstanding.
-func (e *Engine) reconstruct(o *object, gen int) {
-	g := &o.gens[gen]
-	if err := o.rs.Reconstruct(g.shards); err != nil {
-		return
+// decodeStalled rebuilds from repair symbols each generation that holds
+// at least K symbols, still lacks data, and got no new symbol since the
+// previous tick: its missing data symbols are presumed lost. While
+// symbols keep arriving the generation waits, because on a lossless path
+// its data symbols complete it without any GF(256) work.
+func (e *Engine) decodeStalled(o *object) {
+	for gen := range o.gens {
+		g := &o.gens[gen]
+		if g.done || g.have < o.man.K {
+			continue
+		}
+		if g.fresh {
+			g.fresh = false
+			continue
+		}
+		if err := o.rs.Reconstruct(g.shards); err == nil {
+			e.complete(o, gen, true)
+		}
 	}
+}
+
+// complete verifies a generation whose K data symbols are all present
+// (received, or rebuilt from parity when fromParity is set) against the
+// manifest hash, and completes the object when it was the last
+// generation outstanding.
+func (e *Engine) complete(o *object, gen int, fromParity bool) {
+	g := &o.gens[gen]
 	if genHash(g.shards, o.man.K) != o.man.GenHashes[gen] {
-		// Corrupt reconstruction: discard the generation and re-pull.
+		// Corrupt generation: discard it and re-pull.
 		for i := range g.shards {
 			g.shards[i] = nil
 		}
-		g.have = 0
+		g.have, g.data = 0, 0
 		return
 	}
 	// Keep the data symbols (to serve peer requests); the repair symbols
@@ -656,10 +686,13 @@ func (e *Engine) reconstruct(o *object, gen int) {
 	for i := o.man.K; i < len(g.shards); i++ {
 		g.shards[i] = nil
 	}
-	g.have = o.man.K
+	g.have, g.data = o.man.K, o.man.K
 	g.done = true
 	o.doneGens++
 	e.m.decodes.Inc()
+	if fromParity {
+		e.m.parityDecodes.Inc()
+	}
 	if e.cfg.OnProgress != nil {
 		e.cfg.OnProgress(Progress{ID: o.man.Object, Origin: o.man.Origin, Done: o.doneGens, Total: len(o.gens)})
 	}
@@ -668,15 +701,17 @@ func (e *Engine) reconstruct(o *object, gen int) {
 	}
 }
 
-// assemble concatenates the decoded generations into the final object.
+// assemble concatenates the decoded generations into the final object,
+// dropping the last generation's zero padding.
 func (e *Engine) assemble(o *object) {
-	data := make([]byte, 0, int(o.man.Size))
+	data := make([]byte, o.man.Size)
+	off := 0
 	for g := range o.gens {
 		for i := 0; i < o.man.K; i++ {
-			data = append(data, o.gens[g].shards[i]...)
+			off += copy(data[off:], o.gens[g].shards[i])
 		}
 	}
-	o.data = data[:o.man.Size]
+	o.data = data
 	o.complete = true
 	e.m.objectsCompleted.Inc()
 	if e.cfg.OnObject != nil {
@@ -700,16 +735,21 @@ func (e *Engine) onRequest(from id.Node, msg *wire.Message) {
 	}
 }
 
-// OnTick runs the repair rounds: each incomplete transfer asks for the
-// data symbols it is still missing, rotating targets over the symbol's
-// designated relay, the origin, and the rest of the group so a crashed
-// relay only costs one round. It also ages out unclaimed early symbols.
+// OnTick rebuilds stalled generations from parity and runs the repair
+// rounds: each incomplete transfer asks for the data symbols it is still
+// missing, rotating targets over the symbol's designated relay, the
+// origin, and the rest of the group so a crashed relay only costs one
+// round. It also ages out unclaimed early symbols.
 func (e *Engine) OnTick(now time.Time) {
 	e.ageEarly(now)
 	refreshed := false
 	for _, objID := range e.order {
 		o := e.objects[objID]
-		if o == nil || o.complete || now.Before(o.nextReq) {
+		if o == nil || o.complete {
+			continue
+		}
+		e.decodeStalled(o)
+		if o.complete || now.Before(o.nextReq) {
 			continue
 		}
 		if !refreshed {
@@ -756,12 +796,14 @@ func (e *Engine) refreshNear() {
 
 // requestMissing pulls up to MaxRequests missing data symbols. Only
 // data symbols are requested: any completed peer holds all of them,
-// while repair symbols survive only where the scatter put them.
+// while repair symbols survive only where the scatter put them. A
+// generation already holding K symbols needs no pull: decodeStalled
+// rebuilds it.
 func (e *Engine) requestMissing(o *object) {
 	budget := e.cfg.MaxRequests
 	self := e.env.Self()
 	for g := range o.gens {
-		if o.gens[g].done {
+		if o.gens[g].done || o.gens[g].have >= o.man.K {
 			continue
 		}
 		for i := 0; i < o.man.K && budget > 0; i++ {

@@ -144,6 +144,14 @@ func TestScatterDisseminates(t *testing.T) {
 	f.sim.Run(3 * time.Second)
 	f.assertAllComplete(t, 7, data, nil)
 
+	// Nothing is lost, so every generation completes from its data
+	// symbols and no receiver runs a Reed-Solomon decode.
+	for node, e := range f.engines {
+		if got := e.m.parityDecodes.Value(); got != 0 {
+			t.Errorf("node %s: parity_decodes = %d on a lossless run, want 0", node, got)
+		}
+	}
+
 	// The scatter must actually spread transmission: with 16 members the
 	// origin sends each symbol once, so its bytes stay well under the
 	// flat-multicast sender cost of F·(n-1).
@@ -342,7 +350,7 @@ func newRelayRig(t *testing.T) *relayRig {
 	members := []id.Node{1, 2, 3, 4, 5, 6, 7, 8}
 	origin := New(&recEnv{self: 1}, cfg)
 	origin.SetMembers(members)
-	man, err := origin.Publish(7, testObject(2*4*64, 46), false)
+	man, err := origin.Publish(7, rigData(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +362,9 @@ func newRelayRig(t *testing.T) *relayRig {
 	r.relay.SetMembers(members)
 	return r
 }
+
+// rigData is the two-generation object newRelayRig publishes.
+func rigData() []byte { return testObject(2*4*64, 46) }
 
 // sym builds symbol (gen, idx) of the rig's object as sent by from.
 func (r *relayRig) sym(gen, idx int, flags uint8, sender id.Node) *wire.Message {
@@ -578,5 +589,133 @@ func TestEarlyOverflowFallsBackToPull(t *testing.T) {
 			t.Logf("F=%d MiB: early_dropped %d, requests_sent %d, complete by %v after publish",
 				tc.size>>20, dropped, requests, doneAt-10*time.Millisecond)
 		})
+	}
+}
+
+// TestDataSymbolsCompleteWithoutDecoding hands the relay both repair
+// symbols of generation 0 before its data symbols. K symbols are held
+// after the second data symbol, but the generation waits for its last
+// data symbol and then completes without touching the repair symbols.
+func TestDataSymbolsCompleteWithoutDecoding(t *testing.T) {
+	r := newRelayRig(t)
+	r.relay.OnManifest(r.man)
+	for _, i := range []int{4, 5, 0, 1, 2} {
+		r.relay.OnMessage(3, r.sym(0, i, 0, 1))
+	}
+	if done, _, _ := r.relay.Progress(7); done != 0 {
+		t.Fatalf("generation 0 completed with a data symbol still missing: %d done", done)
+	}
+	r.relay.OnMessage(3, r.sym(0, 3, 0, 1))
+	if done, _, _ := r.relay.Progress(7); done != 1 {
+		t.Fatalf("generation 0 not completed by its last data symbol: %d done", done)
+	}
+	if d, p := r.relay.m.decodes.Value(), r.relay.m.parityDecodes.Value(); d != 1 || p != 0 {
+		t.Fatalf("decodes = %d, parity_decodes = %d, want 1 and 0", d, p)
+	}
+}
+
+// TestStalledGenerationDecodesFromParity loses data symbol 2 of
+// generation 0. The generation holds K symbols from the first arrivals,
+// waits while symbols keep coming, and is rebuilt from parity two ticks
+// after the last one — long before the first pull round, so no request
+// is ever sent.
+func TestStalledGenerationDecodesFromParity(t *testing.T) {
+	const tick = 10 * time.Millisecond
+	r := newRelayRig(t)
+	start := time.Unix(100, 0)
+	r.env.now = start
+	r.relay.OnManifest(r.man)
+	step := func(d time.Duration) {
+		r.env.now = start.Add(d)
+		r.relay.OnTick(r.env.now)
+	}
+	for i := 0; i < r.man.K; i++ {
+		r.relay.OnMessage(3, r.sym(1, i, 0, 1))
+	}
+	for _, i := range []int{0, 1, 3, 4} {
+		r.relay.OnMessage(3, r.sym(0, i, 0, 1))
+	}
+	step(tick)
+	// A further repair symbol arrives: the generation is still moving.
+	r.relay.OnMessage(3, r.sym(0, 5, 0, 1))
+	step(2 * tick)
+	if done, _, _ := r.relay.Progress(7); done != 1 {
+		t.Fatalf("generation 0 decoded while symbols were still arriving: %d done", done)
+	}
+	step(3 * tick)
+	if got, ok := r.relay.Object(7); !ok || !bytes.Equal(got, rigData()) {
+		t.Fatal("object not rebuilt from parity two ticks after its last symbol")
+	}
+	if d, p := r.relay.m.decodes.Value(), r.relay.m.parityDecodes.Value(); d != 2 || p != 1 {
+		t.Fatalf("decodes = %d, parity_decodes = %d, want 2 and 1", d, p)
+	}
+	for _, m := range r.env.sent {
+		if m.Kind == wire.KindBulkReq {
+			t.Fatalf("stalled generation sent a symbol request (aux %#x)", m.Aux)
+		}
+	}
+}
+
+// TestRequestMissingSkipsDecodableGenerations checks a pull round asks
+// nothing for a generation that already holds K symbols, and every
+// missing data symbol of one that does not.
+func TestRequestMissingSkipsDecodableGenerations(t *testing.T) {
+	r := newRelayRig(t)
+	r.relay.OnManifest(r.man)
+	for _, i := range []int{0, 1, 3, 4} {
+		r.relay.OnMessage(3, r.sym(0, i, 0, 1))
+	}
+	o := r.relay.objects[7]
+	o.round = 1
+	r.relay.requestMissing(o)
+	var reqs []uint64
+	for _, m := range r.env.sent {
+		if m.Kind == wire.KindBulkReq {
+			reqs = append(reqs, m.Aux)
+		}
+	}
+	if len(reqs) != r.man.K {
+		t.Fatalf("sent %d requests, want the %d data symbols of generation 1", len(reqs), r.man.K)
+	}
+	for _, aux := range reqs {
+		if aux>>32 != 1 {
+			t.Fatalf("requested symbol %d of generation %d, which holds K symbols", aux&0xffffffff, aux>>32)
+		}
+	}
+}
+
+// TestAssembleAllocatesOnce completes an object whose size is not a
+// multiple of the generation size: assembling it takes one allocation
+// of exactly the object's size, with no regrowth for the padding.
+func TestAssembleAllocatesOnce(t *testing.T) {
+	cfg := Config{Group: 1}
+	members := []id.Node{1, 2, 3}
+	origin := New(&recEnv{self: 1}, cfg)
+	origin.SetMembers(members)
+	data := testObject(100<<10+1, 49)
+	man, err := origin.Publish(3, data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(&recEnv{self: 2}, cfg)
+	e.SetMembers(members)
+	e.OnManifest(man)
+	for gen, g := range origin.objects[3].gens {
+		for i := 0; i < man.K; i++ {
+			e.OnMessage(3, &wire.Message{
+				Kind: wire.KindBulkSym, Group: 1, Sender: 1, Seq: 3,
+				Aux: uint64(gen)<<32 | uint64(i), Body: g.shards[i],
+			})
+		}
+	}
+	got, ok := e.Object(3)
+	if !ok || !bytes.Equal(got, data) {
+		t.Fatal("object not assembled")
+	}
+	if cap(got) != len(data) {
+		t.Fatalf("assembled object cap = %d, want %d", cap(got), len(data))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.assemble(e.objects[3]) }); allocs != 1 {
+		t.Fatalf("assemble made %v allocations, want 1", allocs)
 	}
 }

@@ -205,6 +205,16 @@ func TestBulkMetricsSurface(t *testing.T) {
 	if _, ok := origin.Counters["bulk.early_dropped"]; !ok {
 		t.Error("counter bulk.early_dropped not registered")
 	}
+	// Generations rebuilt from repair symbols are a subset of the
+	// completed ones.
+	for i, snap := range []MetricsSnapshot{origin, relay, puller} {
+		p, ok := snap.Counters["bulk.parity_decodes"]
+		if !ok {
+			t.Errorf("node %d: counter bulk.parity_decodes not registered", i+1)
+		} else if d := snap.Counters["bulk.decodes"]; p > d {
+			t.Errorf("node %d: bulk.parity_decodes = %d exceeds bulk.decodes = %d", i+1, p, d)
+		}
+	}
 }
 
 // TestMetricsEndpoint is the HTTP smoke test scripts/check.sh runs: boot

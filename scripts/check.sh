@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's tier-1 gate. Every change must pass this
-# before it lands: gofmt, vet, build, the short test suite under the race
-# detector, and the short seeded chaos sweep. (-short skips the slow
+# before it lands: gofmt, vet, build, the live benchmark module's vet and
+# tests, the short test suite under the race detector, and the short
+# seeded chaos sweep. (-short skips the slow
 # full-matrix sweeps and the benchmark gate; run `go test ./...` and
 # scripts/bench_gate.sh for the long versions.) Run from the repo root:
 #
@@ -35,6 +36,16 @@ GOOS=darwin go build ./...
 
 echo "==> GOOS=windows go build ./..."
 GOOS=windows go build ./...
+
+# The live benchmark is a Go module of its own (livebench/go.mod, which
+# replaces scalamedia with this checkout), so ./... never reaches it. Vet
+# and test it here so a public-API change cannot break it unnoticed; its
+# tests include the output checker's planted-defect cases.
+echo "==> go -C livebench vet ./..."
+go -C livebench vet ./...
+
+echo "==> go -C livebench test ./..."
+go -C livebench test ./...
 
 echo "==> go test -race -short ./..."
 go test -race -short ./...
